@@ -402,10 +402,17 @@ BENCHMARK(BM_ShardedEval)
     ->Arg(8)
     ->UseManualTime();
 
-// Flow-table lookup cost (switch fast path).
+// Flow-table lookup cost (switch fast path): range(0) static Dip routes.
+// With range(1) = 1 a reactive entry is installed before every lookup,
+// the PacketIn pattern (a miss installs an entry, the next packet looks
+// up); up to kReactive of them accumulate, then they are erased outside
+// the timed region.
 void BM_FlowTableLookup(benchmark::State& state) {
+  constexpr int kReactive = 256;
+  const int routes = static_cast<int>(state.range(0));
+  const bool reactive = state.range(1) != 0;
   sdn::FlowTable ft;
-  for (int i = 0; i < state.range(0); ++i) {
+  for (int i = 0; i < routes; ++i) {
     sdn::FlowEntry e;
     e.match = {{sdn::Field::Dip, Value(i)}};
     e.priority = -1;
@@ -413,12 +420,31 @@ void BM_FlowTableLookup(benchmark::State& state) {
     ft.add(e);
   }
   sdn::Packet p;
-  p.dip = state.range(0) / 2;
+  p.dip = routes / 2;
+  int added = 0;
   for (auto _ : state) {
+    if (reactive) {
+      if (added == kReactive) {
+        state.PauseTiming();
+        ft.erase_if([](const sdn::FlowEntry& e) { return e.priority >= 0; });
+        added = 0;
+        state.ResumeTiming();
+      }
+      sdn::FlowEntry e;
+      e.match = {{sdn::Field::Dpt, Value(80)}, {sdn::Field::Sip, Value(added)}};
+      e.action = sdn::Action::output(2);
+      ft.add(std::move(e));
+      p.dip = (p.dip + 7) % routes;
+      ++added;
+    }
     benchmark::DoNotOptimize(ft.lookup(p, 1));
   }
 }
-BENCHMARK(BM_FlowTableLookup)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_FlowTableLookup)
+    ->Args({16, 0})
+    ->Args({128, 0})
+    ->Args({1024, 0})
+    ->Args({785, 1});
 
 // End-to-end controller path (Cbench-like): a packet misses at the
 // switch, the controller evaluates the program, installs an entry and

@@ -1,7 +1,5 @@
 #include "sdn/network.h"
 
-#include <algorithm>
-
 namespace mp::sdn {
 
 Switch& Network::add_switch(int64_t id) {
@@ -22,20 +20,21 @@ const Switch* Network::find_switch(int64_t id) const {
 Host& Network::add_host(Host h) {
   Switch& sw = add_switch(h.sw);
   sw.connect(h.port, PortPeer{PortPeer::Kind::Host, h.id, 0});
+  // try_emplace keeps an existing mapping: the first-added host wins.
+  host_by_ip_.try_emplace(h.ip, hosts_.size());
+  host_by_id_.try_emplace(h.id, hosts_.size());
   hosts_.push_back(std::move(h));
   return hosts_.back();
 }
 
 const Host* Network::host_by_ip(int64_t ip) const {
-  for (const Host& h : hosts_)
-    if (h.ip == ip) return &h;
-  return nullptr;
+  auto it = host_by_ip_.find(ip);
+  return it == host_by_ip_.end() ? nullptr : &hosts_[it->second];
 }
 
 const Host* Network::host_by_id(int64_t id) const {
-  for (const Host& h : hosts_)
-    if (h.id == id) return &h;
-  return nullptr;
+  auto it = host_by_id_.find(id);
+  return it == host_by_id_.end() ? nullptr : &hosts_[it->second];
 }
 
 void Network::link(int64_t sw_a, int64_t port_a, int64_t sw_b, int64_t port_b) {
@@ -63,14 +62,7 @@ void Network::packet_out(int64_t sw, int64_t port, eval::TagMask tags) {
 
 void Network::reset_dynamic_state() {
   for (auto& [id, sw] : switches_) {
-    // Reactive (controller-installed) entries are dropped; static
-    // (pre-configured) entries carry negative priority and survive.
-    std::vector<FlowEntry> keep;
-    for (const FlowEntry& e : sw.table().entries()) {
-      if (e.priority < 0) keep.push_back(e);
-    }
-    sw.table().clear();
-    for (FlowEntry& e : keep) sw.table().add(std::move(e));
+    sw.table().erase_if([](const FlowEntry& e) { return e.priority >= 0; });
   }
   stats_ = DeliveryStats{};
   tag_stats_.clear();

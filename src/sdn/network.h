@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sdn/recorder.h"
@@ -58,10 +59,13 @@ class Network {
   Switch* find_switch(int64_t id);
   const Switch* find_switch(int64_t id) const;
   Host& add_host(Host h);  // also connects the switch port to the host
+  // The first-added host with this ip / id, or nullptr.
   const Host* host_by_ip(int64_t ip) const;
   const Host* host_by_id(int64_t id) const;
   const std::vector<Host>& hosts() const { return hosts_; }
   size_t switch_count() const { return switches_.size(); }
+  // By ascending id.
+  const std::map<int64_t, Switch>& switches() const { return switches_; }
 
   // Bidirectional switch-to-switch link.
   void link(int64_t sw_a, int64_t port_a, int64_t sw_b, int64_t port_b);
@@ -103,8 +107,10 @@ class Network {
   const Recorder& recorder() const { return recorder_; }
   uint64_t now() const { return clock_; }
 
-  // Clears dynamic state (flow entries, stats) but keeps the topology;
-  // used between backtest runs.
+  // Drops the controller-installed flow entries (priority >= 0; static
+  // routes carry negative priorities and stay, in their install order),
+  // the delivery statistics and any pending PacketOut, so one network can
+  // carry another run. The topology, the recorder and the clock are kept.
   void reset_dynamic_state();
 
  private:
@@ -113,6 +119,8 @@ class Network {
 
   std::map<int64_t, Switch> switches_;
   std::vector<Host> hosts_;
+  std::unordered_map<int64_t, size_t> host_by_ip_;  // ip -> index in hosts_
+  std::unordered_map<int64_t, size_t> host_by_id_;  // id -> index in hosts_
   ControllerIface* controller_ = nullptr;
   DeliveryStats stats_;
   std::map<size_t, DeliveryStats> tag_stats_;

@@ -1,9 +1,8 @@
 #include "sdn/topology.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
-#include <queue>
-
-#include "util/rng.h"
 
 namespace mp::sdn {
 
@@ -21,81 +20,122 @@ class Ports {
   std::map<int64_t, int64_t> next_;
 };
 
-std::vector<int64_t> all_switch_ids(const Network& net) {
-  std::vector<int64_t> out;
-  // Switch ids are the map keys; walk via hosts+links is not enough, so we
-  // conservatively probe the contiguous id ranges used by the builder.
-  for (int64_t id = 1; id < 4096; ++id) {
-    if (net.find_switch(id) != nullptr) out.push_back(id);
-  }
-  return out;
-}
+constexpr uint32_t kNone = ~uint32_t{0};
 
-// next_hop[s] = egress port at s toward `dest_sw`, via BFS.
-std::map<int64_t, int64_t> bfs_ports_toward(const Network& net,
-                                            int64_t dest_sw) {
-  std::map<int64_t, int64_t> next_hop;
-  std::map<int64_t, int64_t> toward;  // sw -> neighbour switch on path
-  std::queue<int64_t> q;
-  std::map<int64_t, bool> seen;
-  q.push(dest_sw);
-  seen[dest_sw] = true;
-  while (!q.empty()) {
-    const int64_t cur = q.front();
-    q.pop();
-    const Switch* s = net.find_switch(cur);
-    if (s == nullptr) continue;
-    for (const auto& [port, peer] : s->ports()) {
-      if (peer.kind != PortPeer::Kind::Switch) continue;
-      if (seen.count(peer.peer)) continue;
-      seen[peer.peer] = true;
-      toward[peer.peer] = cur;
-      q.push(peer.peer);
-    }
-  }
-  for (const auto& [sw, via] : toward) {
-    const Switch* s = net.find_switch(sw);
-    if (s == nullptr) continue;
-    for (const auto& [port, peer] : s->ports()) {
-      if (peer.kind == PortPeer::Kind::Switch && peer.peer == via) {
-        next_hop[sw] = port;
-        break;
+// The switch graph in dense form: switches by ascending id, and for each
+// its switch-facing ports in port order with the neighbour's index.
+struct Graph {
+  struct Link {
+    int64_t port;
+    uint32_t peer;
+  };
+  std::vector<int64_t> ids;
+  std::vector<std::vector<Link>> links;
+
+  explicit Graph(const Network& net) {
+    for (const auto& [id, sw] : net.switches()) ids.push_back(id);
+    links.resize(ids.size());
+    for (const auto& [id, sw] : net.switches()) {
+      std::vector<Link>& out = links[index_of(id)];
+      for (const auto& [port, peer] : sw.ports()) {
+        if (peer.kind != PortPeer::Kind::Switch) continue;
+        const uint32_t j = index_of(peer.peer);
+        if (j != kNone) out.push_back({port, j});
       }
     }
   }
-  return next_hop;
-}
+
+  uint32_t index_of(int64_t id) const {
+    auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it == ids.end() || *it != id) return kNone;
+    return static_cast<uint32_t>(it - ids.begin());
+  }
+
+  // egress[s] = the port at switch s on a shortest path toward switch
+  // `dest` (BFS in port order; the lowest port to the BFS parent), or
+  // kNoPort when s is `dest` or cannot reach it.
+  static constexpr int64_t kNoPort = INT64_MIN;
+  std::vector<int64_t> egress_toward(uint32_t dest) const {
+    std::vector<uint32_t> via(ids.size(), kNone);  // BFS parent
+    std::vector<uint32_t> queue{dest};
+    via[dest] = dest;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const uint32_t cur = queue[head];
+      for (const Link& l : links[cur]) {
+        if (via[l.peer] != kNone) continue;
+        via[l.peer] = cur;
+        queue.push_back(l.peer);
+      }
+    }
+    std::vector<int64_t> egress(ids.size(), kNoPort);
+    for (size_t s = 0; s < ids.size(); ++s) {
+      if (s == dest || via[s] == kNone) continue;
+      for (const Link& l : links[s]) {
+        if (l.peer == via[s]) {
+          egress[s] = l.port;
+          break;
+        }
+      }
+    }
+    return egress;
+  }
+};
 
 }  // namespace
 
 size_t install_host_routes(Network& net, const std::vector<int64_t>& ips,
                            const std::vector<int64_t>& exclude) {
-  size_t installed = 0;
-  const std::vector<int64_t> switches = all_switch_ids(net);
-  auto excluded = [&](int64_t sw) {
-    for (int64_t e : exclude)
-      if (e == sw) return true;
-    return false;
-  };
+  const Graph g(net);
+  const size_t n = g.ids.size();
+  std::vector<Switch*> switches(n);
+  std::vector<bool> excluded(n, false);
+  for (size_t s = 0; s < n; ++s) switches[s] = net.find_switch(g.ids[s]);
+  for (int64_t id : exclude) {
+    const uint32_t s = g.index_of(id);
+    if (s != kNone) excluded[s] = true;
+  }
+
+  // The hosts grouped by their switch, switches in order of first
+  // appearance, so that one BFS serves every host on a switch. Each table
+  // receives its routes in `ips` order whenever the hosts of a switch are
+  // contiguous in `ips` (as the campus's are); routes toward distinct ips
+  // never match the same packet, so the order among them cannot matter.
+  std::vector<uint32_t> group_of(n, kNone);
+  std::vector<std::pair<uint32_t, std::vector<const Host*>>> groups;
   for (int64_t ip : ips) {
     const Host* h = net.host_by_ip(ip);
     if (h == nullptr) continue;
-    const auto next_hop = bfs_ports_toward(net, h->sw);
-    for (int64_t sw : switches) {
-      if (excluded(sw)) continue;
-      FlowEntry e;
-      e.match.push_back({Field::Dip, Value(h->ip)});
-      e.priority = -1;  // static / proactive
-      if (sw == h->sw) {
-        e.action = Action::output(h->port);
-      } else {
-        auto it = next_hop.find(sw);
-        if (it == next_hop.end()) continue;
-        e.action = Action::output(it->second);
-      }
-      Switch* s = net.find_switch(sw);
-      if (s != nullptr) {
-        s->table().add(std::move(e));
+    const uint32_t d = g.index_of(h->sw);
+    if (group_of[d] == kNone) {
+      group_of[d] = static_cast<uint32_t>(groups.size());
+      groups.push_back({d, {}});
+    }
+    groups[group_of[d]].second.push_back(h);
+  }
+
+  // Each switch receives at most one route per host: size its table once
+  // rather than let it grow by doubling.
+  size_t routes = 0;
+  for (const auto& group : groups) routes += group.second.size();
+  for (size_t s = 0; s < n; ++s) {
+    if (!excluded[s]) {
+      switches[s]->table().reserve(switches[s]->table().size() + routes);
+    }
+  }
+
+  size_t installed = 0;
+  for (const auto& [dest, hosts] : groups) {
+    const std::vector<int64_t> egress = g.egress_toward(dest);  // one tree alive
+    for (const Host* h : hosts) {
+      for (size_t s = 0; s < n; ++s) {
+        if (excluded[s]) continue;
+        const int64_t port = s == dest ? h->port : egress[s];
+        if (port == Graph::kNoPort) continue;
+        FlowEntry e;
+        e.match.push_back({Field::Dip, Value(h->ip)});
+        e.priority = -1;  // static / proactive
+        e.action = Action::output(port);
+        switches[s]->table().add(std::move(e));
         ++installed;
       }
     }
@@ -106,7 +146,6 @@ size_t install_host_routes(Network& net, const std::vector<int64_t>& ips,
 Campus build_campus(Network& net, const CampusOptions& opt) {
   Campus campus;
   Ports ports;
-  Rng rng(opt.seed);
 
   const size_t core_count = std::max<size_t>(2, opt.core_count);
   // App switches 1..4 (S4 is the guest/branch switch used by scenarios).

@@ -17,6 +17,8 @@ struct CampusOptions {
   size_t total_switches = 36;  // includes the 4 app switches
   size_t core_count = 12;      // operational-zone + backbone routers
   size_t hosts_per_edge = 6;
+  // Does not shape the campus: build_campus is deterministic in the sizes
+  // above. Kept for callers that label a campus with the run's seed.
   uint64_t seed = 1;
 };
 
